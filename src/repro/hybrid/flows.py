@@ -120,6 +120,18 @@ class CallableFlow(Flow):
             arithmetic of ``func`` so that batched runs stay bit-identical
             to the reference engine; lanes fall back to per-lane scalar
             integration when it is absent.
+
+    ``func`` and ``vector_func`` must be deterministic functions of the
+    valuation's contents: no reads of time, RNG, globals or object
+    identity.  The fast kernels rely on that twice: to reproduce the
+    reference integration bit for bit, and to skip an RK4 sub-step whose
+    probe states all equal the current state, since ``func`` would return
+    the same derivatives for each.
+
+    Raises:
+        ValueError: If ``substep`` is not a positive number: zero would
+            never finish an advance, a negative value would fail deep
+            inside one and NaN would integrate to NaN.
     """
 
     func: Callable[[Valuation], Mapping[str, float]]
@@ -131,10 +143,15 @@ class CallableFlow(Flow):
 
     def __init__(self, func, variables, description="<ode>", substep=0.01,
                  vector_func=None):
+        substep = float(substep)
+        if not substep > 0.0:
+            raise ValueError(
+                f"CallableFlow substep must be a positive number of seconds, "
+                f"got {substep!r}")
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "variables", tuple(variables))
         object.__setattr__(self, "description", description)
-        object.__setattr__(self, "substep", float(substep))
+        object.__setattr__(self, "substep", substep)
         object.__setattr__(self, "is_affine", False)
         object.__setattr__(self, "vector_func", vector_func)
 

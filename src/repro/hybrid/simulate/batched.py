@@ -50,7 +50,7 @@ from repro.hybrid.simulate.compiled import (CompiledAutomaton, CompiledEdge,
                                             CompiledLocation, CompiledSystem,
                                             CompiledSystemState, SlotValuation,
                                             _lower_crossing, _STATIC_SKIP,
-                                            compile_system)
+                                            compile_system, rk4_substep_idle)
 from repro.hybrid.simulate.engine import _MIN_ADVANCE, Network, _PendingEvent
 from repro.hybrid.simulate.observers import TraceObserver, TraceRecorder
 from repro.hybrid.simulate.processes import (Coupling, EnvironmentProcess,
@@ -114,6 +114,11 @@ class _VectorView:
             column = self._arr[self._rows, slot]
             self._cache[name] = column
         return column
+
+
+def _same_lanes(a, b) -> bool:
+    """Bit-for-bit equality of every lane: signed zeros differ, NaN never matches."""
+    return bool((a == b).all()) and not (np.signbit(a) != np.signbit(b)).any()
 
 
 class _VectorOverlay:
@@ -437,7 +442,8 @@ class BatchedLocation:
     """Vector tables of one compiled location (built once per system)."""
 
     __slots__ = ("cl", "n_slots", "sampling_only", "dynamic", "advance_kind",
-                 "rates_row", "driven_row", "ode_var_slots", "ode_substep",
+                 "rates_row", "driven_row", "ode_var_slots", "ode_var_names",
+                 "ode_substep",
                  "ode_vector_func", "vec_cross", "scalar_cross",
                  "stack_entries",
                  "has_asap", "precheck_always", "precheck_guards")
@@ -465,12 +471,14 @@ class BatchedLocation:
             self.advance_kind = "vec_ode"
             self.ode_var_slots = tuple((name, slot_of[name])
                                        for name in flow.variables)
+            self.ode_var_names = frozenset(flow.variables)
             self.ode_substep = flow.substep
             self.ode_vector_func = flow.vector_func
         else:
             self.advance_kind = "scalar"
         if self.advance_kind != "vec_ode":
             self.ode_var_slots = ()
+            self.ode_var_names = frozenset()
             self.ode_substep = 0.0
             self.ode_vector_func = None
 
@@ -1437,13 +1445,20 @@ class BatchedEngine:
 
     def _advance_vec_ode(self, auto: _BatchedAutomaton, bl: BatchedLocation,
                          rows, dts) -> None:
-        """Lane-vectorized RK4, operation-for-operation like the scalar path."""
+        """Lane-vectorized RK4, operation-for-operation like the scalar path.
+
+        When :func:`rk4_substep_idle` proves the first sub-step a no-op for
+        every lane, the whole advance is one and is skipped.  Lanes are not
+        dropped one by one: at campaign widths each vector op costs the same
+        for 1 lane as for 64, so a partial drop only adds work.
+        """
         arr = auto.arr
         vector_func = bl.ode_vector_func
         substep = bl.ode_substep
         slot_of = auto.ca.slot_of
         sub = rows
         remaining = dts.copy()
+        first = True
         while True:
             live = remaining > 1e-12
             if not live.any():
@@ -1455,6 +1470,11 @@ class BatchedEngine:
             h = np.minimum(substep, remaining)
             half = h / 2.0
             k1 = vector_func(base)
+            if first:
+                if rk4_substep_idle(base, k1, bl.ode_var_names, slot_of,
+                                    half, h, _same_lanes):
+                    return
+                first = False
             probe = _VectorOverlay(
                 base, {name: base.get(name, 0.0) + rate * half
                        for name, rate in k1.items()})

@@ -256,16 +256,69 @@ def _lower_crossing(predicate: Predicate, rates: Mapping[str, float],
     return generic_program
 
 
+def _same_bits(a: float, b: float) -> bool:
+    """Bit-for-bit float equality: signed zeros differ, NaN never matches."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def rk4_substep_idle(view, k1, var_names, slots, half, h,
+                     same=_same_bits) -> bool:
+    """Whether an RK4 sub-step from ``view`` provably changes nothing.
+
+    ``k1`` is the sub-step's first stage ``func(view)``, ``var_names`` the
+    flow's variables and ``slots`` the names ``view`` holds.  The rule: every
+    ``k1`` key is already in ``slots``, and for every name ``x + k1*h``,
+    ``x + k1*(h/2)`` and ``x + ((k1 + 2.0*k1 + 2.0*k1 + k1) / 6.0)*h`` (the
+    integrator's own expression order, rate ``0.0`` for a name ``k1``
+    lacks) all equal ``x`` bit for bit.
+
+    Why that is exact: the k2/k3/k4 probe states then equal ``view`` bit for
+    bit with the same key set, so the deterministic ``func`` returns ``k1``
+    again for each, and the final combination and write reproduce ``x``.
+    Every later sub-step of the same advance starts from the same state
+    with ``h' <= h``; ``|k1*h'| <= |k1*h|`` with the same sign and rounding
+    is monotone, so it is a no-op as well and the whole rest of the advance
+    can be skipped.  Signed zeros count (``-0.0 + 0.0`` is ``+0.0``), so a
+    zero derivative alone does not make a sub-step idle; a non-zero one can,
+    once ``x`` is stuck within half an ulp of its target.
+
+    ``same(a, b)`` is the bitwise comparison: of floats here, of whole lane
+    arrays in the batched kernel, which skips a lane group only when every
+    lane in it is idle.
+    """
+    keys = k1.keys()
+    if keys <= var_names:
+        names = var_names
+    elif keys <= slots.keys():
+        names = var_names | keys
+    else:
+        return False
+    for name in names:
+        x = view.get(name, 0.0)
+        rate = k1.get(name, 0.0)
+        if not same(x + rate * h, x):
+            return False
+        combined = (rate + 2.0 * rate + 2.0 * rate + rate) / 6.0
+        if not (same(x + rate * half, x) and same(x + combined * h, x)):
+            return False
+    return True
+
+
 def _lower_callable_advance(flow: CallableFlow, slot_of: Mapping[str, int]):
     """Compile a :class:`CallableFlow` into an in-place RK4 integrator.
 
     Reproduces ``CallableFlow.advance`` / ``_rk4_step`` /
     ``Valuation.advanced`` operation for operation over the slot array, so
-    the integrated values are bit-identical to the reference engine's.
+    the integrated values are bit-identical to the reference engine's.  When
+    :func:`rk4_substep_idle` proves the first sub-step a no-op, the whole
+    advance is one and is skipped.  Later sub-steps are not tested: a state
+    that comes to rest mid-advance is skipped from the next advance on, and
+    a moving state pays for one test per advance, not one per sub-step.
     """
     func = flow.func
     substep = flow.substep
     var_slots = tuple((name, slot_of[name]) for name in flow.variables)
+    var_names = frozenset(flow.variables)
 
     def advance_program(rt: "_AutomatonRuntime", dt: float) -> None:
         if dt <= 0:
@@ -273,10 +326,15 @@ def _lower_callable_advance(flow: CallableFlow, slot_of: Mapping[str, int]):
         values = rt.values
         view = rt.view
         remaining = dt
+        first = True
         while remaining > 1e-12:
             h = min(substep, remaining)
             half = h / 2.0
             k1 = {k: float(v) for k, v in func(view).items()}
+            if first:
+                if rk4_substep_idle(view, k1, var_names, rt.slots, half, h):
+                    return
+                first = False
             probe = _OverlayValuation(
                 view, {name: view.get(name, 0.0) + rate * half
                        for name, rate in k1.items()})

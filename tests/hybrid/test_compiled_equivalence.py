@@ -4,7 +4,8 @@ The compiled and batched kernels are only allowed to be *faster*: for
 every seed, every loss process and every model shape they must produce
 bit-identical traces (transitions, event deliveries, samples, timestamps)
 and bit-identical trial statistics.  These tests pit the kernels against
-each other on randomized hybrid systems, on the laser-tracheotomy case
+each other on randomized hybrid systems, on ODEs resting in states a
+kernel may (or may not) skip integrating, on the laser-tracheotomy case
 study in both lease modes, and on the Table I campaign — the batched
 kernel additionally across batch widths, since its vectorized lockstep
 must leave every lane exactly equal to a serial run with the same seed —
@@ -12,8 +13,10 @@ and also pin the streaming observer pipeline against the historical
 post-hoc trace scan.
 """
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +26,8 @@ from repro.core.monitor import PTEMonitor
 from repro.hybrid import (BatchedEngine, BoxPredicate, CallableFlow, CallbackProcess,
                           CompiledEngine, Edge, HybridAutomaton, HybridSystem, Lane,
                           Location, Reset, SimulationEngine, VariableCopyCoupling,
-                          clock_flow, compile_system, receive_lossy, var_ge, var_le)
+                          clock_flow, compile_system, receive, receive_lossy, var_ge,
+                          var_le)
 from repro.hybrid.simulate import TraceRecorder, build_engine, resolve_engine_kind
 from repro.hybrid.simulate.engine import Network
 from repro.util.seeding import derive_seed
@@ -239,6 +243,160 @@ class TestBatchedEquivalence:
 
 
 CONFIG = CaseStudyConfig()
+
+
+# ---------------------------------------------------------------------------
+# Quiescent ODEs: states a fast kernel may skip integrating, and near misses
+# ---------------------------------------------------------------------------
+
+def _dead_zone(v, var, where):
+    """Exactly 0 on ``|x| <= 1``, decaying outside: the skip's plain case."""
+    x = v.get(var, 0.0)
+    return {var: where(abs(x) <= 1.0, 0.0, -1.5 * x)}
+
+
+def _signed_zero(v, var, where):
+    """A ``+0.0`` derivative at ``x = -0.0``, which RK4 flips to ``+0.0``."""
+    return {var: where(v.get(var, 0.0) > 0.0, -3.0, 0.0)}
+
+
+def _stuck_relaxation(v, var, where):
+    """Relaxes to 1.0 and sticks one ulp below it with a non-zero derivative."""
+    return {var: 8.0 * (1.0 - v.get(var, 0.0))}
+
+
+def _ghost_key(v, var, where):
+    """Returns "ghost", a key the valuation lacks, read with default 1.0.
+
+    k1 is all zeros, yet the RK4 probe states hold ghost == 0.0, so k2..k4
+    are not and x still moves.
+    """
+    x = v.get(var, 0.0)
+    return {var: where(x > 0.0, v.get("ghost", 1.0) - 1.0, 0.0),
+            "ghost": 0.0 * x}
+
+
+#: name -> (rates, resting value, value a "kick" event resets to).
+QUIESCENT_CASES = {
+    "deadzone": (_dead_zone, 0.5, 4.0),
+    "negzero": (_signed_zero, -0.0, 2.0),
+    "stuck": (_stuck_relaxation, math.nextafter(1.0, 0.0), 0.25),
+    "ghost": (_ghost_key, -1.0, 2.0),
+}
+
+
+def _scalar_where(condition, if_true, if_false):
+    return if_true if condition else if_false
+
+
+def quiescent_automaton(name: str, vectorized: bool) -> HybridAutomaton:
+    """One single-location ODE automaton of the quiescent family.
+
+    It starts at rest.  The dead zone and the stuck relaxation really stay
+    put there, the latter with a non-zero derivative; the signed zero and
+    the ghost key do not, although their k1 is all zeros.  A ``kick``
+    reception resets it to a moving state, a ``rest`` reception back.
+    """
+    var = f"x_{name}"
+    rates, resting, moving = QUIESCENT_CASES[name]
+    flow = CallableFlow(lambda v: rates(v, var, _scalar_where), variables=(var,),
+                        description=name, substep=0.05,
+                        vector_func=(lambda v: rates(v, var, np.where)) if vectorized
+                        else None)
+    automaton = HybridAutomaton(name, variables=[var],
+                                initial_valuation={var: resting})
+    location = f"{name}.Flow"
+    automaton.add_location(Location(location, flow=flow))
+    automaton.initial_location = location
+    automaton.add_edge(Edge(location, location, trigger=receive("kick"),
+                            reset=Reset({var: moving}), reason="kick"))
+    automaton.add_edge(Edge(location, location, trigger=receive("rest"),
+                            reset=Reset({var: resting}), reason="rest"))
+    return automaton
+
+
+def build_quiescent_system(vectorized: bool) -> HybridSystem:
+    system = HybridSystem("quiescent")
+    for name in QUIESCENT_CASES:
+        system.add(quiescent_automaton(name, vectorized), entity="node-0")
+    return system
+
+
+def quiescent_lane_events(lane: int):
+    """Per-lane kick/rest schedule, so lanes mix resting and moving states."""
+    if lane % 4 == 3:
+        return []  # rests for the whole run
+    kick = 0.4 + (0.73 * lane) % 3.0
+    schedule = [(kick, "kick")]
+    if lane % 2 == 0:
+        schedule.append((kick + 5.5, "rest"))
+    return [CallbackProcess([(t, lambda e, root=root: e.inject_event(root))
+                             for t, root in schedule])]
+
+
+QUIESCENT_VARIABLES = [(name, f"x_{name}") for name in QUIESCENT_CASES]
+
+
+def bit_series(trace):
+    """Every recorded series, with each value's exact bit pattern."""
+    return {key: [(t, value.hex()) for t, value in zip(*trace.series(*key))]
+            for key in QUIESCENT_VARIABLES}
+
+
+class TestQuiescentOdeEquivalence:
+    """Skipping provably idle RK4 work must never change a single bit."""
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("width", BATCH_WIDTHS)
+    def test_lanes_bit_identical_across_tiers(self, width, vectorized):
+        system = build_quiescent_system(vectorized)
+        seeds = [derive_seed(2013, f"quiescent:{width}:{lane}")
+                 for lane in range(width)]
+        serial = {}
+        for engine_cls in (SimulationEngine, CompiledEngine):
+            serial[engine_cls.kind] = [
+                engine_cls(system, network=SeededLossyNetwork(0.0),
+                           processes=quiescent_lane_events(lane), seed=seed,
+                           dt_max=0.25, record_variables=QUIESCENT_VARIABLES,
+                           sample_interval=0.25).run(10.0)
+                for lane, seed in enumerate(seeds)]
+        lanes = [Lane(seed=seed, network=SeededLossyNetwork(0.0),
+                      processes=quiescent_lane_events(lane))
+                 for lane, seed in enumerate(seeds)]
+        batched = BatchedEngine(compile_system(system), lanes=lanes,
+                                dt_max=0.25, record_variables=QUIESCENT_VARIABLES,
+                                sample_interval=0.25).run(10.0)
+        for reference, compiled, lane_trace in zip(serial["reference"],
+                                                   serial["compiled"], batched):
+            expected = bit_series(reference)
+            for trace in (compiled, lane_trace):
+                assert_traces_identical(reference, trace)
+                assert bit_series(trace) == expected
+
+    def test_family_visits_its_edge_cases(self):
+        # Lane 0 is kicked at 0.4 s and put back to rest at 5.9 s.
+        trace = SimulationEngine(build_quiescent_system(False),
+                                 processes=quiescent_lane_events(0),
+                                 dt_max=0.25, record_variables=QUIESCENT_VARIABLES,
+                                 sample_interval=0.25).run(10.0)
+        series = {name: trace.series(name, f"x_{name}")
+                  for name in QUIESCENT_CASES}
+
+        def before_rest(name):
+            times, values = series[name]
+            return [v for t, v in zip(times, values) if t < 5.9][-1]
+
+        # Kicked to 4.0, the dead-zone state decays into |x| <= 1 and stops.
+        assert 0.0 < before_rest("deadzone") <= 1.0
+        # The -0.0 rest state integrates to +0.0 under a +0.0 derivative.
+        assert [v.hex() for v in series["negzero"][1][:2]] == ["-0x0.0p+0",
+                                                               "0x0.0p+0"]
+        # The relaxation ends within an ulp of 1.0 and stays one ulp below
+        # it after the rest event, although 8 * (1 - x) != 0 there.
+        assert 1.0 - before_rest("stuck") <= 2.0 ** -53
+        assert series["stuck"][1][-1] == math.nextafter(1.0, 0.0)
+        # The ghost key drives x down to zero although k1 is all zeros.
+        assert before_rest("ghost") <= 0.0
 
 
 class TestCaseStudyEquivalence:

@@ -51,6 +51,16 @@ class TestCallableFlow:
         valuation = Valuation({"x": 5.0})
         assert flow.advance(valuation, 0.0) == valuation
 
+    @pytest.mark.parametrize("substep, shown", [(0, "0.0"), (-0.05, "-0.05"),
+                                                (float("nan"), "nan")])
+    def test_malformed_substep_is_rejected_at_construction(self, substep, shown):
+        # Zero used to hang every tier's advance, a negative value failed
+        # later with a misleading "dt must be non-negative" and NaN
+        # integrated silently to NaN.
+        with pytest.raises(ValueError, match=f"substep .*got {shown}$"):
+            CallableFlow(lambda v: {"x": -v["x"]}, variables=("x",),
+                         substep=substep)
+
 
 class TestCompositeFlow:
     def test_combines_disjoint_parts(self):
